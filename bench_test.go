@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"sort"
 	"testing"
 	"time"
 
@@ -420,7 +421,9 @@ func mempoolSweepQuery() (*query.Query, core.Options) {
 // rechecks (the sweep replays N-1 verdicts and computes one), and drops
 // it; mutate/N is the same without the Check. The tentpole claim is
 // that check/N stays near-flat from 1k to 100k pending — O(touched
-// component), not O(|T|).
+// component), not O(|T|). check_precheck/N is the same recheck under
+// core.DefaultOptions(): the precheck decides it over the Monitor's
+// maintained R ∪ ∪T, which must stay flat too.
 func BenchmarkMempoolSweep(b *testing.B) {
 	q, opts := mempoolSweepQuery()
 	for _, n := range []int{1_000, 10_000, 100_000} {
@@ -437,6 +440,18 @@ func BenchmarkMempoolSweep(b *testing.B) {
 				}
 				if !res.Satisfied {
 					b.Fatal("verdict flipped")
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("check_precheck/%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := warmRecheck(mon, q, core.DefaultOptions(), i)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Satisfied || !res.Stats.Prechecked {
+					b.Fatal("recheck not decided satisfied by the precheck")
 				}
 			}
 		})
@@ -539,6 +554,56 @@ func TestMempoolSweepFlatGuard(t *testing.T) {
 	if bigMutate > 3*smallMutate && bigMutate > 100*time.Microsecond {
 		t.Errorf("mutation at 100k pending (%v) more than 3x the 1k latency (%v): mutation is not O(touched component)",
 			bigMutate, smallMutate)
+	}
+}
+
+// TestMempoolPrecheckFlatGuard is the precheck-on twin of
+// TestMempoolSweepFlatGuard: the warm single-delta satisfied recheck
+// under core.DefaultOptions() — decided by the precheck over the
+// Monitor's maintained R ∪ ∪T — must not grow with the pending-set
+// size. A Monitor that rebuilt the union per check would be O(|T|)
+// here. Medians of 31 samples, with the same absolute floor as the
+// sweep guard. Gated behind BENCH_GUARD like the other timing guards.
+func TestMempoolPrecheckFlatGuard(t *testing.T) {
+	if os.Getenv("BENCH_GUARD") == "" {
+		t.Skip("set BENCH_GUARD=1 to run the mempool precheck flat-latency guard")
+	}
+	q, _ := mempoolSweepQuery()
+	opts := core.DefaultOptions()
+	const samples = 31
+	measure := func(n int) time.Duration {
+		mon := mempoolMonitor(t, n)
+		if _, err := mon.Check(context.Background(), q, opts); err != nil {
+			t.Fatal(err)
+		}
+		checks := make([]time.Duration, 0, samples)
+		for i := 0; i < samples; i++ {
+			id, err := mon.AddPending(warmDelta(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t0 := time.Now()
+			res, err := mon.Check(context.Background(), q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checks = append(checks, time.Since(t0))
+			if err := mon.DropPending(id); err != nil {
+				t.Fatal(err)
+			}
+			if !res.Satisfied || !res.Stats.Prechecked {
+				t.Fatal("warm recheck not decided satisfied by the precheck")
+			}
+		}
+		sort.Slice(checks, func(i, j int) bool { return checks[i] < checks[j] })
+		return checks[samples/2]
+	}
+	small := measure(1_000)
+	big := measure(100_000)
+	t.Logf("warm precheck-on check: 1k=%v 100k=%v (%.1fx)", small, big, float64(big)/float64(small))
+	if big > 2*small && big > 200*time.Microsecond {
+		t.Errorf("warm precheck-on check at 100k pending (%v) more than 2x the 1k latency (%v): the precheck is not O(delta)",
+			big, small)
 	}
 }
 

@@ -463,7 +463,11 @@ func cliqueDCSat(ctx context.Context, d *possible.DB, q *query.Query, opts Optio
 	if !opts.DisablePrecheck {
 		_, preSpan := obs.Start(ctx, "precheck")
 		preStart := time.Now()
-		union := relation.NewOverlay(d.State, d.Pending...)
+		union := env.union
+		if union == nil {
+			union = relation.NewOverlay(d.State, d.Pending...)
+			mPrecheckBuilds.Inc()
+		}
 		res.Stats.WorldsEvaluated++
 		hit, err := query.Eval(q, union)
 		res.Stats.PrecheckDur = time.Since(preStart)
@@ -516,7 +520,11 @@ func cliqueDCSat(ctx context.Context, d *possible.DB, q *query.Query, opts Optio
 	if !opts.DisableLiveFilter {
 		_, liveSpan := obs.Start(ctx, "live_filter")
 		liveStart := time.Now()
-		live = liveTransactions(d)
+		if env.live != nil {
+			live = env.live()
+		} else {
+			live = liveTransactions(d)
+		}
 		res.Stats.LiveFilterDur = time.Since(liveStart)
 		liveSpan.SetAttr("live", len(live))
 		liveSpan.SetAttr("pending", len(d.Pending))

@@ -10,6 +10,7 @@ import (
 	"blockchaindb/internal/obs"
 	"blockchaindb/internal/possible"
 	"blockchaindb/internal/query"
+	"blockchaindb/internal/relation"
 )
 
 // Incremental DCSat (the delta-aware layer over OptDCSat).
@@ -63,11 +64,18 @@ type componentCache interface {
 
 // checkEnv bundles the per-check plumbing threaded from checkContext
 // down through cliqueDCSat into the serial and parallel component
-// searches: the fd-graph hook, the maintained component-split hook,
-// the delta sweeper, the verdict cache, the query fingerprint, the
-// compiled query plan every per-world evaluation reuses, and the
-// check ID journal events correlate on.
+// searches: the maintained precheck union and live set, the fd-graph
+// hook, the maintained component-split hook, the delta sweeper, the
+// verdict cache, the query fingerprint, the compiled query plan every
+// per-world evaluation reuses, and the check ID journal events
+// correlate on.
 type checkEnv struct {
+	// union, when set, is a maintained R ∪ ∪T the precheck evaluates
+	// over instead of building one; live, when set, returns the
+	// fd-live pending slots in ascending order, replacing
+	// liveTransactions.
+	union      relation.View
+	live       func() []int
 	fdGraph    fdGraphFn
 	components componentsFn
 	sweep      *monitorSweeper

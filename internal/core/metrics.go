@@ -27,6 +27,11 @@ var (
 	mWorlds     = obs.DefaultWindows.Counter(obs.MetricWorlds, "possible worlds the query was evaluated on")
 	mUndecided  = obs.DefaultWindows.Counter(obs.MetricUndecided, "checks cut short by a deadline or cancellation before reaching a verdict")
 
+	// The O(|T|) precheck fallback: a check with no maintained union
+	// (the stateless Check) builds R ∪ ∪T from scratch. Monitor checks
+	// never increment it.
+	mPrecheckBuilds = obs.DefaultWindows.Counter(obs.MetricPrecheckBuilds, "per-check R ∪ ∪T overlay builds by the monotone pre-check (the O(pending) fallback)")
+
 	// Incremental world maintenance along the Bron–Kerbosch recursion.
 	// The counters split world evaluations by how the world was obtained;
 	// the histogram records the recursion depth at which each in-place

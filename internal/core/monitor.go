@@ -20,6 +20,14 @@ import (
 //
 //   - per-transaction status "can T be appended to R" and
 //     fd-liveness (self-consistent, no fd-conflict with the state);
+//     a Check's live filter reads the maintained live set instead of
+//     re-probing the state for every FD;
+//   - the union R ∪ ∪T the monotone precheck evaluates q over, as one
+//     holder-counted overlay (relation.NewCountedOverlay): adds insert
+//     a transaction's tuples, drops remove those no other pending
+//     transaction holds, and commits prune the tuples that moved into
+//     R, so the overlay keeps set semantics and a warm precheck costs
+//     one query evaluation, not an O(|T|) union rebuild;
 //   - the fd-conflict pairs backing G^fd_T, via per-FD hash buckets and
 //     a symmetric adjacency, so a Check serves component subgraphs
 //     without rescanning unrelated transactions;
@@ -76,6 +84,9 @@ type Monitor struct {
 	selfOK     map[int]bool // id -> fd-self-consistent (immutable per tx)
 	live       map[int]bool // id -> selfOK && no fd conflict with state
 	liveCount  int
+
+	// union is the maintained R ∪ ∪T the precheck evaluates over.
+	union *relation.Overlay
 
 	// Mutation journal for the delta sweeps: gen counts mutations (and
 	// stamps the partition), changeLog records the component roots each
@@ -167,7 +178,9 @@ func WithTenant(name string) MonitorOption {
 }
 
 // NewMonitor wraps the database. The pending transactions already in
-// the database are registered and indexed. Options tune the
+// the database are registered and indexed. The Monitor shares d.State
+// and maintains structures derived from it, so from here on the state
+// must grow only through Commit and CommitExternal. Options tune the
 // incremental cache and observability; the defaults (verdict cache of
 // defaultCacheCap entries, events to obs.DefaultJournal) suit steady
 // mempool monitoring.
@@ -182,6 +195,7 @@ func NewMonitor(d *possible.DB, opts ...MonitorOption) *Monitor {
 		bucketsFD:   make([]map[string][]fdOccupant, len(d.Constraints.FDs)),
 		bucketsIND:  make([]map[string]*indBucket, len(d.Constraints.INDs)),
 		parts:       graph.NewDynamicPartition(),
+		union:       relation.NewCountedOverlay(d.State),
 		cache:       newVerdictCache(defaultCacheCap),
 		journal:     obs.DefaultJournal,
 	}
@@ -225,6 +239,7 @@ func (m *Monitor) addLocked(tx *relation.Transaction) int {
 	m.db.Pending = append(m.db.Pending, tx)
 	m.ids = append(m.ids, id)
 	m.digests = append(m.digests, possible.TxDigest(tx))
+	m.union.Add(tx)
 	// Update fd buckets and conflict pairs.
 	for fdIdx := range m.db.Constraints.FDs {
 		lhsKeys, rhsKeys := m.db.Constraints.FDKeys(fdIdx, tx)
@@ -419,6 +434,7 @@ func (m *Monitor) removeLocked(id int) error {
 	}
 	m.gen++
 	tx := m.db.Pending[slot]
+	m.union.Remove(tx)
 	for fdIdx := range m.db.Constraints.FDs {
 		lhsKeys, rhsKeys := m.db.Constraints.FDKeys(fdIdx, tx)
 		for i := range lhsKeys {
@@ -567,6 +583,7 @@ func (m *Monitor) Commit(id int) error {
 	if err := m.db.State.InsertTransaction(tx); err != nil {
 		return err
 	}
+	m.union.PruneBase(tx)
 	refreshed := m.refreshAfterCommitLocked(tx)
 	m.invalidateCacheLocked("commit")
 	m.clearSweepsLocked()
@@ -595,6 +612,7 @@ func (m *Monitor) CommitExternal(tx *relation.Transaction) error {
 	if err := m.db.State.InsertTransaction(norm); err != nil {
 		return err
 	}
+	m.union.PruneBase(norm)
 	refreshed := m.refreshAfterCommitLocked(norm)
 	m.invalidateCacheLocked("commit_external")
 	m.clearSweepsLocked()
@@ -775,13 +793,17 @@ func (m *Monitor) Check(ctx context.Context, q *query.Query, opts Options) (*Res
 	var env checkEnv
 	if algo == AlgoNaive || algo == AlgoOpt {
 		opts.Algorithm = algo
-		// The hooks read m.ids, m.conflictAdj, m.parts, and m.digests;
-		// the read lock held for the duration of the check keeps them
-		// stable, including for the parallel workers (all of which
-		// finish inside this call). The verdict cache and the sweep
+		// The hooks read m.union, m.ids, m.live, m.conflictAdj,
+		// m.parts, and m.digests; the read lock held for the duration
+		// of the check keeps them stable, including for the parallel
+		// workers (all of which finish inside this call). Concurrent
+		// prechecks may build the union's lazy indexes at once; the
+		// relation layer locks that. The verdict cache and the sweep
 		// states have their own locks, so concurrent Checks share them
 		// safely; both are only ever cleared under the write lock,
 		// which cannot run while we hold read.
+		env.union = m.union
+		env.live = m.liveSlots
 		env.fdGraph = m.fdGraphFromConflicts
 		env.components = m.seededComponents
 		if m.cache != nil {
@@ -801,6 +823,19 @@ func (m *Monitor) CacheStats() CacheStats {
 		return CacheStats{}
 	}
 	return m.cache.snapshot()
+}
+
+// liveSlots is the Monitor's live-filter hook: the pending slots whose
+// maintained liveness holds, ascending — what liveTransactions computes
+// from scratch, without probing the state for every FD.
+func (m *Monitor) liveSlots() []int {
+	live := make([]int, 0, m.liveCount)
+	for slot, id := range m.ids {
+		if m.live[id] {
+			live = append(live, slot)
+		}
+	}
+	return live
 }
 
 // fdGraphFromConflicts assembles a component's fd graph from the

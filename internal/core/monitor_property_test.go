@@ -17,14 +17,20 @@ import (
 // add/commit/drop sequences and, after every step, cross-validates its
 // incrementally maintained state against a freshly constructed
 // database: same conflict-pair count, same appendability statuses, and
-// the same verdicts for a battery of denial constraints.
+// the same verdicts for a battery of denial constraints, each checked
+// with the precheck on (the default options, reading the maintained
+// union) and off.
 func TestMonitorEquivalentToFreshDatabase(t *testing.T) {
 	queries := []string{
 		"q() :- TxOut(t, s, 'U0Pk', a)",
 		"q() :- TxOut(t, s, 'U2Pk', a)",
 		"q() :- TxIn(pt, ps, 'U1Pk', a, nt, sig), TxOut(nt, s2, pk2, a2)",
 		"q(sum(a)) > 2 :- TxIn(pt, ps, pk, a, nt, sig)",
+		"q(count()) > 5 :- TxOut(t, s, pk, a)",
 	}
+	noPrecheck := DefaultOptions()
+	noPrecheck.DisablePrecheck = true
+	optionSets := []Options{DefaultOptions(), noPrecheck}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		// Start from a bitcoin-like database; the monitor ingests its
@@ -78,17 +84,20 @@ func TestMonitorEquivalentToFreshDatabase(t *testing.T) {
 			// Verdicts.
 			for _, src := range queries {
 				q := query.MustParse(src)
-				mres, err := mon.Check(context.Background(), q, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
 				fres, err := Check(context.Background(), fresh, q, Options{Algorithm: AlgoExhaustive})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if mres.Satisfied != fres.Satisfied {
-					t.Logf("seed %d %s: %s monitor %v, fresh %v", seed, step, src, mres.Satisfied, fres.Satisfied)
-					return false
+				for _, opts := range optionSets {
+					mres, err := mon.Check(context.Background(), q, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if mres.Satisfied != fres.Satisfied {
+						t.Logf("seed %d %s: %s (precheck off: %v) monitor %v, fresh %v",
+							seed, step, src, opts.DisablePrecheck, mres.Satisfied, fres.Satisfied)
+						return false
+					}
 				}
 			}
 			return true

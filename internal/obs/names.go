@@ -24,6 +24,7 @@ const (
 	MetricCacheInvalidated  = "dcsat_cache_invalidated_total"
 	MetricCheckNS           = "dcsat_check_ns"
 	MetricPrecheckNS        = "dcsat_precheck_ns"
+	MetricPrecheckBuilds    = "dcsat_precheck_overlay_builds_total"
 	MetricLiveFilterNS      = "dcsat_live_filter_ns"
 	MetricComponentSplitNS  = "dcsat_component_split_ns"
 	MetricFDGraphBuildNS    = "dcsat_fd_graph_build_ns"
@@ -134,6 +135,7 @@ var knownMetricNames = []string{
 	MetricWorlds, MetricWorldsIncremental, MetricWorldsRebuilt,
 	MetricReuseDepth, MetricUndecided, MetricCacheHits, MetricCacheMisses,
 	MetricCacheInvalidated, MetricCheckNS, MetricPrecheckNS,
+	MetricPrecheckBuilds,
 	MetricLiveFilterNS, MetricComponentSplitNS, MetricFDGraphBuildNS,
 	MetricCliqueEnumNS, MetricWorldEvalNS, MetricChecksBy,
 	MetricChecksByClass, MetricCheckNSBy, MetricInflightChecks,

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"sort"
 	"sync"
 
 	"blockchaindb/internal/value"
@@ -9,7 +10,8 @@ import (
 // Relation is a set of tuples over a schema, with optional hash indexes
 // over column sets. Insertion preserves set semantics: duplicate tuples
 // are ignored. Tuples keep their insertion order for deterministic
-// iteration.
+// iteration, except that an overlay's holder-counted removal (see
+// Overlay.Remove) moves the last tuple into the freed slot.
 //
 // Reads — including the lazy index build on first Lookup — are safe
 // from concurrent goroutines; the parallel DCSat workers and concurrent
@@ -272,6 +274,64 @@ func (r *Relation) Truncate(n int) {
 		r.tuples[pos] = nil // release the tuple for GC
 	}
 	r.tuples = r.tuples[:n]
+}
+
+// removeAt deletes the tuple at pos by moving the last tuple into its
+// slot (swap-remove), so deletion costs O(indexes × bucket size),
+// independent of the relation's size. Every index bucket stays in
+// ascending position order, the invariant Truncate and
+// LookupTuplesKeyRange rely on: pos leaves its bucket, and the moved
+// tuple's posting — the tail of its bucket, since it held the highest
+// position — is re-slotted in order. Emptied buckets are deleted, so a
+// relation under insert/delete churn does not accumulate them. The
+// moved tuple changes position, so insertion order is not preserved.
+// Callers must exclude concurrent readers, as with Insert.
+func (r *Relation) removeAt(pos int) {
+	last := len(r.tuples) - 1
+	gone, moved := r.tuples[pos], r.tuples[last]
+	r.idxMu.Lock()
+	for _, idx := range r.idxList {
+		r.keyBuf = gone.AppendProjectKey(r.keyBuf[:0], idx.cols)
+		idx.unpost(r.keyBuf, pos)
+		if pos != last {
+			r.keyBuf = moved.AppendProjectKey(r.keyBuf[:0], idx.cols)
+			idx.repost(r.keyBuf, pos)
+		}
+	}
+	r.idxMu.Unlock()
+	r.keyBuf = gone.AppendKey(r.keyBuf[:0])
+	delete(r.byKey, string(r.keyBuf))
+	if pos != last {
+		r.tuples[pos] = moved
+		r.keyBuf = moved.AppendKey(r.keyBuf[:0])
+		r.byKey[string(r.keyBuf)] = pos
+	}
+	r.tuples[last] = nil // release the tuple for GC
+	r.tuples = r.tuples[:last]
+}
+
+// unpost removes pos from the bucket under key, keeping it ascending.
+func (idx *hashIndex) unpost(key []byte, pos int) {
+	b := idx.buckets[string(key)]
+	i := sort.SearchInts(b, pos)
+	if i == len(b) || b[i] != pos {
+		return
+	}
+	if len(b) == 1 {
+		delete(idx.buckets, string(key))
+		return
+	}
+	idx.buckets[string(key)] = append(b[:i], b[i+1:]...)
+}
+
+// repost replaces the tail posting of the bucket under key with pos,
+// which is lower, at its sorted slot. The bucket keeps its length, so
+// it is rewritten in place.
+func (idx *hashIndex) repost(key []byte, pos int) {
+	b := idx.buckets[string(key)]
+	i := sort.SearchInts(b, pos)
+	copy(b[i+1:], b[i:len(b)-1])
+	b[i] = pos
 }
 
 // Clear removes every tuple while keeping the schema, the key map's

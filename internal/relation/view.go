@@ -87,8 +87,12 @@ func (s *State) Count(rel string) int {
 // shared, only the (small) pending tuples are copied into a fresh
 // State whose indexes build lazily on first lookup.
 type Overlay struct {
-	base   *State
-	extra  *State
+	base  *State
+	extra *State
+	// refs, set only on a counted overlay, holds per relation the
+	// number of added transactions holding each extra tuple, parallel
+	// to the relation's tuple positions.
+	refs   map[string][]int32
 	keyBuf []byte // reusable key-encoding buffer for Add
 }
 
@@ -102,6 +106,20 @@ func NewOverlay(base *State, txs ...*Transaction) *Overlay {
 	for _, tx := range txs {
 		o.Add(tx)
 	}
+	return o
+}
+
+// NewCountedOverlay builds an empty overlay over base that counts, per
+// extra tuple, how many added transactions hold it, so Remove can take
+// one transaction back out while another still holds a shared tuple.
+// It is the maintained R ∪ ∪T of a long-lived pending set: Add and
+// Remove follow the set's arrivals and departures, and PruneBase
+// follows commits into the base. Its removals reorder the extra
+// tuples, so a counted overlay does not support marks (AppendMark,
+// PopToMark) or the windowed probes.
+func NewCountedOverlay(base *State) *Overlay {
+	o := NewOverlay(base)
+	o.refs = make(map[string][]int32, len(o.extra.names))
 	return o
 }
 
@@ -121,17 +139,77 @@ func (o *Overlay) Add(tx *Transaction) {
 				o.extra.MustInsert(rel, tup) // unknown relation: surface the standard panic
 				continue
 			}
-			nt, err := r.schema.Normalize(tup)
-			if err != nil {
-				panic(err)
-			}
-			o.keyBuf = nt.AppendKey(o.keyBuf[:0])
+			nt := o.normalizedKey(r, tup)
 			if o.base.ContainsKey(rel, o.keyBuf) {
 				continue
 			}
-			r.insertNormalized(nt, o.keyBuf)
+			if o.refs == nil {
+				r.insertNormalized(nt, o.keyBuf)
+			} else if pos, held := r.byKey[string(o.keyBuf)]; held {
+				o.refs[rel][pos]++
+			} else {
+				r.insertNormalized(nt, o.keyBuf)
+				o.refs[rel] = append(o.refs[rel], 1)
+			}
 		}
 	}
+}
+
+// Remove takes one transaction previously Added to a counted overlay
+// back out: each of its extra tuples loses one holder, and a tuple no
+// other added transaction still holds leaves the overlay. Tuples the
+// base holds (see PruneBase) are skipped. Callers must exclude
+// concurrent readers, as with Add.
+func (o *Overlay) Remove(tx *Transaction) { o.release(tx, false) }
+
+// PruneBase drops from a counted overlay's extra side every tuple of
+// tx that the base now holds, whatever its holder count: after the
+// transaction commits into the base, keeping those tuples on the extra
+// side too would make Scan and Count see them twice. Callers must
+// exclude concurrent readers, as with Add.
+func (o *Overlay) PruneBase(tx *Transaction) { o.release(tx, true) }
+
+// release is Remove (pruneBase false) and PruneBase (true). A removed
+// tuple is swap-removed together with its holder count.
+func (o *Overlay) release(tx *Transaction, pruneBase bool) {
+	for _, rel := range tx.Relations() {
+		r := o.extra.rels[rel]
+		if r == nil {
+			continue
+		}
+		for _, tup := range tx.Tuples(rel) {
+			o.normalizedKey(r, tup)
+			pos, held := r.byKey[string(o.keyBuf)]
+			if !held {
+				continue
+			}
+			refs := o.refs[rel]
+			if pruneBase {
+				if !o.base.ContainsKey(rel, o.keyBuf) {
+					continue
+				}
+			} else if refs[pos] > 1 {
+				refs[pos]--
+				continue
+			}
+			last := len(refs) - 1
+			refs[pos] = refs[last]
+			o.refs[rel] = refs[:last]
+			r.removeAt(pos)
+		}
+	}
+}
+
+// normalizedKey normalizes tup against r's schema, leaving its key
+// encoding in o.keyBuf. A tuple that fails its schema panics, as an
+// unknown relation does in Add.
+func (o *Overlay) normalizedKey(r *Relation, tup value.Tuple) value.Tuple {
+	nt, err := r.schema.Normalize(tup)
+	if err != nil {
+		panic(err)
+	}
+	o.keyBuf = nt.AppendKey(o.keyBuf[:0])
+	return nt
 }
 
 // Base returns the underlying base state.
@@ -189,7 +267,12 @@ func (o *Overlay) Count(rel string) int {
 // allocated relations, key maps and indexes, so one Overlay can be
 // reused across many candidate worlds over the same base. Callers must
 // exclude concurrent readers.
-func (o *Overlay) Reset() { o.extra.Reset() }
+func (o *Overlay) Reset() {
+	o.extra.Reset()
+	for rel, refs := range o.refs {
+		o.refs[rel] = refs[:0]
+	}
+}
 
 // Materialize copies the overlay into a standalone State.
 func (o *Overlay) Materialize() *State {
